@@ -24,9 +24,8 @@ const backendTol = 1e-12
 // backendEngineCases enumerates the engine configurations each backend
 // is differentially tested under: standard serial/parallel (with and
 // without ABMC reordering, so the SELL sigma sort composes with the
-// block ordering) and forward-backward serial/parallel (whose MPKBatch
-// and SpMM block paths ride the backend even though the sweeps stay on
-// split CSR).
+// block ordering) and forward-backward serial/parallel (whose sweeps
+// stay on split CSR whatever the backend, so its results must not move).
 func backendEngineCases(threads int) []engineCase {
 	cases := []engineCase{
 		{"std/serial", Options{Engine: EngineStandard}},

@@ -157,6 +157,10 @@ func BenchmarkFig10(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		fb, err := core.NewFBParallel(tri, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(name+"/baseline", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := StandardMPK(m, x0, k); err != nil {
@@ -166,14 +170,14 @@ func BenchmarkFig10(b *testing.B) {
 		})
 		b.Run(name+"/FB", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.FBMPKSerial(tri, x0, k, false, nil, nil); err != nil {
+				if _, _, err := fb.Run(x0, k, false, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(name+"/FB+BtB", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.FBMPKSerial(tri, x0, k, true, nil, nil); err != nil {
+				if _, _, err := fb.Run(x0, k, true, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,6 +11,10 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is its own module (perfbench/go.mod replaces fbmpk with
+# this checkout), so the root build above does not see a public-API
+# change that breaks it.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race ./internal/parallel/ -count 1
 go test -race ./internal/core/ -run 'Parallel|Multi' -count 1
 go test -race -run Differential -count 1 .

@@ -106,8 +106,8 @@ func TestPlanMethodErrors(t *testing.T) {
 			if _, err := p.MPKMulti([][]float64{x}, 0); !errors.Is(err, ErrBadPower) {
 				t.Errorf("MPKMulti k=0: got %v, want ErrBadPower", err)
 			}
-			if _, err := p.MPKBatch([][]float64{short}, 2); !errors.Is(err, ErrDimension) {
-				t.Errorf("MPKBatch short col: got %v, want ErrDimension", err)
+			if _, err := p.MPKMulti([][]float64{short}, 2); !errors.Is(err, ErrDimension) {
+				t.Errorf("MPKMulti short col: got %v, want ErrDimension", err)
 			}
 			if _, err := p.SSpMVMulti(nil, [][]float64{x}); !errors.Is(err, ErrBadCoeffs) {
 				t.Errorf("SSpMVMulti no coeffs: got %v, want ErrBadCoeffs", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"fbmpk/internal/cachesim"
 	"fbmpk/internal/core"
 	"fbmpk/internal/reorder"
 	"fbmpk/internal/sparse"
@@ -84,8 +83,12 @@ func AblationOrdering(w io.Writer, cfg Config) error {
 		if err != nil {
 			return "", err
 		}
+		fb, err := core.NewFBParallel(tri, nil, nil)
+		if err != nil {
+			return "", err
+		}
 		tm := Measure(cfg.Runs, func() {
-			if _, _, err := core.FBMPKSerial(tri, x0, cfg.K, true, nil, nil); err != nil {
+			if _, _, err := fb.Run(x0, cfg.K, true, nil); err != nil {
 				panic(err)
 			}
 		})
@@ -157,59 +160,6 @@ func AblationFormats(w io.Writer, cfg Config) error {
 			tBSR.GeoMean.String(), tCSC.GeoMean.String(),
 			f2(ell.PaddingRatio()), f2(sell.PaddingRatio()), f2(bsr.FillRatio(m.NNZ())))
 	}
-	return cfg.Emit(w, t)
-}
-
-// AblationWavefront contrasts FBMPK against the level-based wavefront
-// MPK (the LB-MPK-style related work of Section VI) on simulated DRAM
-// traffic: the wavefront scheme keeps all k+1 iterates live, so its
-// traffic degrades as k grows while FBMPK stays near (k+1)/2k.
-func AblationWavefront(w io.Writer, cfg Config) error {
-	cfg = cfg.Normalize()
-	specs, err := cfg.suite()
-	if err != nil {
-		return err
-	}
-	ks := []int{2, 4, 6, 8}
-	header := []string{"input", "pipeline"}
-	for _, k := range ks {
-		header = append(header, fmt.Sprintf("k=%d", k))
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation: DRAM traffic vs baseline, FBMPK and level-based MPK (scale=%g)", cfg.Scale),
-		Header: header,
-	}
-	for _, s := range specs {
-		m := s.Generate(cfg.Scale, cfg.Seed)
-		tri, err := sparse.Split(m)
-		if err != nil {
-			return err
-		}
-		lp, err := core.BFSLevels(m)
-		if err != nil {
-			return err
-		}
-		ws := cachesim.WavefrontSchedule{LevelPtr: lp.LevelPtr, Rows: lp.Rows}
-		ccfg := cachesim.ScaledConfig(m.MemoryBytes(), 8)
-		fbRow := []string{s.Name, "FBMPK"}
-		wfRow := []string{"", "level-based"}
-		for _, k := range ks {
-			std, fb, err := cachesim.CompareMPK(ccfg, m, tri, k, true)
-			if err != nil {
-				return err
-			}
-			wf, err := cachesim.New(ccfg)
-			if err != nil {
-				return err
-			}
-			cachesim.TraceWavefrontMPK(wf, m, ws, k)
-			fbRow = append(fbRow, fmt.Sprintf("%.0f%%", 100*float64(fb.TotalDRAM())/float64(std.TotalDRAM())))
-			wfRow = append(wfRow, fmt.Sprintf("%.0f%%", 100*float64(wf.Stats().TotalDRAM())/float64(std.TotalDRAM())))
-		}
-		t.AddRow(fbRow...)
-		t.AddRow(wfRow...)
-	}
-	t.AddNote("levels per matrix depend on graph diameter; few-level matrices give the wavefront little reuse window")
 	return cfg.Emit(w, t)
 }
 

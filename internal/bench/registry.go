@@ -32,7 +32,6 @@ func Registry() []Experiment {
 		{"abl-order", "Ablation: natural vs RCM vs ABMC ordering", AblationOrdering},
 		{"abl-formats", "Ablation: CSR vs ELL vs SELL vs BSR vs CSC SpMV", AblationFormats},
 		{"abl-parallel", "Ablation: ABMC colors vs level scheduling", AblationParallelism},
-		{"abl-wavefront", "Ablation: FBMPK vs level-based (LB-MPK-style) traffic", AblationWavefront},
 		{"abl-multirhs", "Ablation: batched multi-RHS FBMPK vs m independent runs", MultiRHS},
 		{"autotune", "Backend autotuner verdicts + autotuned vs CSR at full scale", Autotune},
 		{"levelblock", "Engine arbitration: ABMC-FB vs level-blocked vs auto across k", LevelBlock},

@@ -101,7 +101,7 @@ func TestForcedBackendsMatchCSR(t *testing.T) {
 			if r.xk, err = p.MPK(x0, k); err != nil {
 				t.Fatal(err)
 			}
-			if r.batch, err = p.MPKBatch(xs, k); err != nil {
+			if r.batch, err = p.MPKMulti(xs, k); err != nil {
 				t.Fatal(err)
 			}
 			if r.combo, err = p.SSpMV(coeffs, x0); err != nil {
@@ -121,7 +121,7 @@ func TestForcedBackendsMatchCSR(t *testing.T) {
 				}
 				for j := range base.batch {
 					if d := sparse.RelMaxDiff(got.batch[j], base.batch[j]); d > 1e-12 {
-						t.Fatalf("n=%d threads=%d: MPKBatch[%d] diff %g", n, threads, j, d)
+						t.Fatalf("n=%d threads=%d: MPKMulti[%d] diff %g", n, threads, j, d)
 					}
 				}
 				if d := sparse.RelMaxDiff(got.combo, base.combo); d > 1e-12 {
@@ -227,8 +227,7 @@ func TestPlanStatsBackend(t *testing.T) {
 }
 
 // TestFBPlanWithBackend verifies a forward-backward plan accepts a
-// non-CSR backend (used by its MPKBatch path) without disturbing the
-// FB pipeline results.
+// non-CSR backend without disturbing the FB pipeline results.
 func TestFBPlanWithBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	a := randomCSR(rng, 64, 4)
@@ -258,17 +257,19 @@ func TestFBPlanWithBackend(t *testing.T) {
 		}
 	}
 	xs := [][]float64{randVec(rng, 64), randVec(rng, 64)}
-	wb, err := base.MPKBatch(xs, 3)
+	wb, err := base.MPKMulti(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := p.MPKBatch(xs, 3)
+	gb, err := p.MPKMulti(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range wb {
-		if d := sparse.RelMaxDiff(gb[j], wb[j]); d > 1e-12 {
-			t.Fatalf("MPKBatch[%d] diff %g", j, d)
+		for i := range wb[j] {
+			if gb[j][i] != wb[j][i] {
+				t.Fatalf("MPKMulti[%d] differs at %d: %g != %g", j, i, gb[j][i], wb[j][i])
+			}
 		}
 	}
 }

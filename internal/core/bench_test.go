@@ -33,10 +33,11 @@ func BenchmarkFBMPKSerialSeparate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fb := fbSerial(tri)
 	x0 := sparse.Ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FBMPKSerial(tri, x0, 5, false, nil, nil); err != nil {
+		if _, _, err := fb.Run(x0, 5, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,10 +49,11 @@ func BenchmarkFBMPKSerialBtB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fb := fbSerial(tri)
 	x0 := sparse.Ones(a.Rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FBMPKSerial(tri, x0, 5, true, nil, nil); err != nil {
+		if _, _, err := fb.Run(x0, 5, true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +105,6 @@ func BenchmarkFBParallelMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fbm := NewFBParallelMulti(fb)
 	rng := rand.New(rand.NewSource(3))
 	xs := make([][]float64, m)
 	for j := range xs {
@@ -111,7 +112,7 @@ func BenchmarkFBParallelMulti(b *testing.B) {
 	}
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fbm.Run(xs, k, true, nil); err != nil {
+			if _, _, err := fb.RunMulti(xs, k, true, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -136,6 +137,7 @@ func BenchmarkFBMPKSerialMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fb := fbSerial(tri)
 	rng := rand.New(rand.NewSource(4))
 	for _, m := range []int{2, 4, 8} {
 		xs := make([][]float64, m)
@@ -149,7 +151,7 @@ func BenchmarkFBMPKSerialMulti(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("m=%d/%s", m, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := FBMPKSerialMulti(tri, xs, k, btb, nil); err != nil {
+					if _, _, err := fb.RunMulti(xs, k, btb, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -169,22 +171,6 @@ func BenchmarkSymGSSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := SymGSSerial(tri, rhs, x, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWavefrontMPK(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := bandedMatrix(rng, 20000, 8)
-	lp, err := BFSLevels(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := sparse.Ones(a.Rows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := WavefrontMPK(a, lp, x0, 5, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

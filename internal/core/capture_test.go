@@ -19,8 +19,12 @@ func TestFBParallelRunCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	tri, _ := sparse.Split(b)
-	for _, workers := range []int{1, 3} {
-		pool := parallel.NewPool(workers)
+	for _, workers := range []int{0, 1, 3} {
+		// workers == 0 is the one-worker schedule without a pool.
+		var pool *parallel.Pool
+		if workers > 0 {
+			pool = parallel.NewPool(workers)
+		}
 		fb, err := NewFBParallel(tri, ord, pool)
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +57,9 @@ func TestFBParallelRunCapture(t *testing.T) {
 				}
 			}
 		}
-		pool.Close()
+		if pool != nil {
+			pool.Close()
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"fbmpk/internal/sparse"
-)
+import "fbmpk/internal/sparse"
 
 // The forward-backward pipeline (Section III-B). State machine:
 //
@@ -31,166 +27,153 @@ import (
 //     in one array xy with xy[2i] / xy[2i+1], so the two loads the
 //     inner loop issues per L/U entry share a cache line.
 
-// fbState carries the kernel buffers so plans can reuse them across
-// calls without reallocating.
+// fbState carries the pipeline buffers of an m-vector run so plans can
+// reuse them across calls without reallocating. Every slot is a stripe
+// of m contiguous components (component j of row i at i*m + j), so the
+// m = 1 layouts are the single-vector ones:
+//
+//   - separate: two row-major blocks a, b alternating even/odd
+//     iterates;
+//   - BtB: one block xy with xy[(2i+p)*m + j] interleaving the two live
+//     iterates (parity p) of all m vectors, so the inner loop touches
+//     one contiguous 2m-wide stripe per matrix column.
 type fbState struct {
-	tmp []float64
-	xy  []float64 // BtB layout, len 2n (nil for the separate layout)
+	tmp []float64 // n*m
+	xy  []float64 // BtB layout, 2*n*m (nil for the separate layout)
 	a   []float64 // separate layout: even iterates
 	b   []float64 // separate layout: odd iterates
+	x0b []float64 // packed start block (m > 1 only)
 }
 
-func newFBState(n int, btb bool) *fbState {
-	s := &fbState{tmp: make([]float64, n)}
+func newFBState(n, m int, btb bool) *fbState {
+	return (&fbState{}).fit(n, m, btb)
+}
+
+// fit sizes the buffers for n rows, m vectors and the given layout,
+// reusing the backing arrays when their capacity allows.
+func (s *fbState) fit(n, m int, btb bool) *fbState {
+	s.tmp = ensureLen(s.tmp, n*m)
+	if m > 1 {
+		s.x0b = ensureLen(s.x0b, n*m)
+	}
 	if btb {
-		s.xy = make([]float64, 2*n)
+		s.xy = ensureLen(s.xy, 2*n*m)
+		s.a, s.b = nil, nil
 	} else {
-		s.a = make([]float64, n)
-		s.b = make([]float64, n)
+		s.a = ensureLen(s.a, n*m)
+		s.b = ensureLen(s.b, n*m)
+		s.xy = nil
 	}
 	return s
 }
 
-// FBMPKSerial runs the forward-backward MPK on a split matrix:
-// it computes A^k x0 and returns it in a fresh slice.
-// btb selects the interleaved vector layout. coeffs, when non-nil,
-// must have length k+1 and makes the kernel also accumulate
-// combo = sum coeffs[i] * A^i * x0 (returned second, else nil).
-// onIterate, when non-nil, observes a copy of each iterate.
-func FBMPKSerial(tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	return fbmpkSerial(nil, nil, tri, x0, k, btb, coeffs, onIterate)
+// sweep runs one sweep over rows [lo, hi), completing the next iterate
+// (odd slots forward, even slots backward) and, unless last, the
+// lookahead in tmp. It is the one place a kernel is chosen: the scalar
+// kernel for m = 1, the register-blocked one for m = 4, the generic
+// m-wide one otherwise.
+func (s *fbState) sweep(tri *sparse.Triangular, forward bool, m, lo, hi int, last bool) {
+	L, U, d := tri.L, tri.U, tri.D
+	switch {
+	case forward && s.xy != nil && m == 1:
+		fbForwardBtBRange(tri, s.xy, s.tmp, lo, hi, last)
+	case forward && s.xy != nil && m == 4:
+		fbForwardBtBMulti4Range(L.RowPtr, L.ColIdx, L.Val, d, s.xy, s.tmp, lo, hi, last)
+	case forward && s.xy != nil:
+		fbForwardBtBMultiRange(tri, s.xy, s.tmp, m, lo, hi, last)
+	case forward && m == 1:
+		fbForwardSepRange(tri, s.a, s.b, s.tmp, lo, hi, last)
+	case forward && m == 4:
+		fbForwardSepMulti4Range(L.RowPtr, L.ColIdx, L.Val, d, s.a, s.b, s.tmp, lo, hi, last)
+	case forward:
+		fbForwardSepMultiRange(tri, s.a, s.b, s.tmp, m, lo, hi, last)
+	case s.xy != nil && m == 1:
+		fbBackwardBtBRange(tri, s.xy, s.tmp, lo, hi, last)
+	case s.xy != nil && m == 4:
+		fbBackwardBtBMulti4Range(U.RowPtr, U.ColIdx, U.Val, s.xy, s.tmp, lo, hi, last)
+	case s.xy != nil:
+		fbBackwardBtBMultiRange(tri, s.xy, s.tmp, m, lo, hi, last)
+	case m == 1:
+		fbBackwardSepRange(tri, s.a, s.b, s.tmp, lo, hi, last)
+	case m == 4:
+		fbBackwardSepMulti4Range(U.RowPtr, U.ColIdx, U.Val, s.a, s.b, s.tmp, lo, hi, last)
+	default:
+		fbBackwardSepMultiRange(tri, s.a, s.b, s.tmp, m, lo, hi, last)
+	}
 }
 
-// fbmpkSerial is FBMPKSerial with an externally supplied pipeline
-// state (nil allocates a fresh one) and run environment: env's cancel
-// flag is checked once per sweep and aborts the run with
-// errCanceledRun. Reusing st across calls is safe because every sweep
-// fully writes the slots it later reads (see workspace.go).
-func fbmpkSerial(st *fbState, env *runEnv, tri *sparse.Triangular, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	n := tri.N
-	if len(x0) != n {
-		return nil, nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), n, ErrDimension)
+// iterate returns the slots holding the odd (forward-sweep) or even
+// iterate: the backing array, the offset of row 0's stripe, and the
+// distance between consecutive rows' stripes.
+func (s *fbState) iterate(m int, odd bool) (src []float64, base, stride int) {
+	switch {
+	case s.xy != nil && odd:
+		return s.xy, m, 2 * m
+	case s.xy != nil:
+		return s.xy, 0, 2 * m
+	case odd:
+		return s.b, 0, m
+	default:
+		return s.a, 0, m
 	}
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: power k=%d: %w", k, ErrBadPower)
-	}
-	if coeffs != nil && len(coeffs) != k+1 {
-		return nil, nil, fmt.Errorf("core: coeffs length %d != k+1 = %d: %w", len(coeffs), k+1, ErrBadCoeffs)
-	}
-	if st == nil {
-		st = newFBState(n, btb)
-	}
-	if coeffs != nil {
-		combo = make([]float64, n)
-		for i := range combo {
-			combo[i] = coeffs[0] * x0[i]
-		}
-	}
-	var scratch []float64
-	if onIterate != nil {
-		scratch = make([]float64, n)
-	}
-
-	emit := func(power int, get func(i int) float64) {
-		if combo != nil && coeffs[power] != 0 {
-			c := coeffs[power]
-			for i := 0; i < n; i++ {
-				combo[i] += c * get(i)
-			}
-		}
-		if onIterate != nil {
-			for i := 0; i < n; i++ {
-				scratch[i] = get(i)
-			}
-			onIterate(power, scratch)
-		}
-	}
-
-	clock := env.serialClock()
-	if btb {
-		xy := st.xy
-		for i := 0; i < n; i++ {
-			xy[2*i] = x0[i]
-		}
-		sparse.SpMV(tri.U, x0, st.tmp) // head
-		clock.endCompute(phaseHead, -1)
-		t := 0
-		for t < k {
-			if env.canceled() {
-				return nil, nil, errCanceledRun
-			}
-			last := t+1 == k
-			clock.beginSweep(phaseForward)
-			fbForwardBtB(tri, xy, st.tmp, last)
-			t++
-			clock.endSweepCompute(phaseForward, int32(t))
-			emit(t, func(i int) float64 { return xy[2*i+1] })
-			if t == k {
-				break
-			}
-			last = t+1 == k
-			clock.beginSweep(phaseBackward)
-			fbBackwardBtB(tri, xy, st.tmp, last)
-			t++
-			clock.endSweepCompute(phaseBackward, int32(t))
-			emit(t, func(i int) float64 { return xy[2*i] })
-		}
-		xk = make([]float64, n)
-		if k%2 == 1 {
-			for i := 0; i < n; i++ {
-				xk[i] = xy[2*i+1]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				xk[i] = xy[2*i]
-			}
-		}
-		return xk, combo, nil
-	}
-
-	copy(st.a[:n], x0)
-	sparse.SpMV(tri.U, x0, st.tmp) // head
-	clock.endCompute(phaseHead, -1)
-	t := 0
-	for t < k {
-		if env.canceled() {
-			return nil, nil, errCanceledRun
-		}
-		last := t+1 == k
-		clock.beginSweep(phaseForward)
-		fbForwardSep(tri, st.a, st.b, st.tmp, last)
-		t++
-		clock.endSweepCompute(phaseForward, int32(t))
-		emit(t, func(i int) float64 { return st.b[i] })
-		if t == k {
-			break
-		}
-		last = t+1 == k
-		clock.beginSweep(phaseBackward)
-		fbBackwardSep(tri, st.a, st.b, st.tmp, last)
-		t++
-		clock.endSweepCompute(phaseBackward, int32(t))
-		emit(t, func(i int) float64 { return st.a[i] })
-	}
-	xk = make([]float64, n)
-	if k%2 == 1 {
-		copy(xk, st.b)
-	} else {
-		copy(xk, st.a)
-	}
-	return xk, combo, nil
 }
 
-// fbForwardBtB is the forward sweep over L with the BtB layout
-// (Algorithm 2 lines 7-16): completes the next iterate in the odd
-// slots from the previous one in the even slots, and unless last,
-// leaves tmp = (L + D) * x_next for the backward sweep.
-func fbForwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
+// init seeds the even iterate with rows [lo, hi) of the packed start
+// block x0.
+func (s *fbState) init(x0 []float64, m, lo, hi int) {
+	dst, _, stride := s.iterate(m, false)
+	if stride == m {
+		copy(dst[lo*m:hi*m], x0[lo*m:hi*m])
+		return
+	}
+	for i := lo; i < hi; i++ {
+		for j := 0; j < m; j++ {
+			dst[i*stride+j] = x0[i*m+j]
+		}
+	}
+}
+
+// accumulate adds c times rows [lo, hi) of the odd or even iterate to
+// the combo block.
+func (s *fbState) accumulate(cmb []float64, c float64, m int, odd bool, lo, hi int) {
+	src, base, stride := s.iterate(m, odd)
+	if stride == m {
+		for i := lo * m; i < hi*m; i++ {
+			cmb[i] += c * src[i]
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		ci := cmb[i*m : i*m+m : i*m+m]
+		si := src[base+i*stride : base+i*stride+m]
+		for j := range ci {
+			ci[j] += c * si[j]
+		}
+	}
+}
+
+// unpack copies the odd or even iterate of every vector into dst (one
+// n-vector per vector of the run).
+func (s *fbState) unpack(dst [][]float64, odd bool) {
+	m := len(dst)
+	src, base, stride := s.iterate(m, odd)
+	for j, out := range dst {
+		for i := range out {
+			out[i] = src[base+i*stride+j]
+		}
+	}
+}
+
+// fbForwardBtBRange is the forward sweep over L with the BtB layout
+// for rows [lo, hi) (Algorithm 2 lines 7-16): completes the next
+// iterate in the odd slots from the previous one in the even slots,
+// and unless last, leaves tmp = (L + D) * x_next for the backward
+// sweep.
+func fbForwardBtBRange(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
 	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
 	d := tri.D
-	n := tri.N
 	if last {
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			sum0 := tmp[i] + d[i]*xy[2*i]
 			for j := rp[i]; j < rp[i+1]; j++ {
 				sum0 += v[j] * xy[2*ci[j]]
@@ -199,7 +182,7 @@ func fbForwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		sum0 := tmp[i] + d[i]*xy[2*i]
 		sum1 := 0.0
 		for j := rp[i]; j < rp[i+1]; j++ {
@@ -212,14 +195,13 @@ func fbForwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
 	}
 }
 
-// fbBackwardBtB is the backward sweep over U (Algorithm 2 lines
+// fbBackwardBtBRange is the backward sweep over U (Algorithm 2 lines
 // 19-28): completes the next iterate in the even slots from the odd
 // slots, bottom-up, and unless last leaves tmp = U * x_next.
-func fbBackwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
+func fbBackwardBtBRange(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
 	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	n := tri.N
 	if last {
-		for i := n - 1; i >= 0; i-- {
+		for i := hi - 1; i >= lo; i-- {
 			sum0 := tmp[i]
 			for j := rp[i]; j < rp[i+1]; j++ {
 				sum0 += v[j] * xy[2*ci[j]+1]
@@ -228,7 +210,7 @@ func fbBackwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
 		}
 		return
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := hi - 1; i >= lo; i-- {
 		sum0 := tmp[i]
 		sum1 := 0.0
 		for j := rp[i]; j < rp[i+1]; j++ {
@@ -241,14 +223,13 @@ func fbBackwardBtB(tri *sparse.Triangular, xy, tmp []float64, last bool) {
 	}
 }
 
-// fbForwardSep is the forward sweep with separate vectors: xprev holds
-// x_t, xnext receives x_{t+1}.
-func fbForwardSep(tri *sparse.Triangular, xprev, xnext, tmp []float64, last bool) {
+// fbForwardSepRange is the forward sweep with separate vectors: xprev
+// holds x_t, xnext receives x_{t+1}.
+func fbForwardSepRange(tri *sparse.Triangular, xprev, xnext, tmp []float64, lo, hi int, last bool) {
 	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
 	d := tri.D
-	n := tri.N
 	if last {
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			sum0 := tmp[i] + d[i]*xprev[i]
 			for j := rp[i]; j < rp[i+1]; j++ {
 				sum0 += v[j] * xprev[ci[j]]
@@ -257,7 +238,7 @@ func fbForwardSep(tri *sparse.Triangular, xprev, xnext, tmp []float64, last bool
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		sum0 := tmp[i] + d[i]*xprev[i]
 		sum1 := 0.0
 		for j := rp[i]; j < rp[i+1]; j++ {
@@ -270,13 +251,12 @@ func fbForwardSep(tri *sparse.Triangular, xprev, xnext, tmp []float64, last bool
 	}
 }
 
-// fbBackwardSep is the backward sweep with separate vectors: xprev
-// holds x_t (the odd iterate), xnext receives x_{t+1}.
-func fbBackwardSep(tri *sparse.Triangular, xnext, xprev, tmp []float64, last bool) {
+// fbBackwardSepRange is the backward sweep with separate vectors:
+// xprev holds x_t (the odd iterate), xnext receives x_{t+1}.
+func fbBackwardSepRange(tri *sparse.Triangular, xnext, xprev, tmp []float64, lo, hi int, last bool) {
 	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	n := tri.N
 	if last {
-		for i := n - 1; i >= 0; i-- {
+		for i := hi - 1; i >= lo; i-- {
 			sum0 := tmp[i]
 			for j := rp[i]; j < rp[i+1]; j++ {
 				sum0 += v[j] * xprev[ci[j]]
@@ -285,7 +265,7 @@ func fbBackwardSep(tri *sparse.Triangular, xnext, xprev, tmp []float64, last boo
 		}
 		return
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := hi - 1; i >= lo; i-- {
 		sum0 := tmp[i]
 		sum1 := 0.0
 		for j := rp[i]; j < rp[i+1]; j++ {

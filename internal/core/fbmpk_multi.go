@@ -6,49 +6,18 @@ import (
 	"fbmpk/internal/sparse"
 )
 
-// Batched multi-RHS forward-backward pipeline. The FB sweeps amortize
+// Batched multi-RHS forward-backward kernels. The FB sweeps amortize
 // matrix reads across the power axis (A is read (k+1)/2 times instead
-// of k); the batched variant amortizes along a second axis, the
+// of k); the batched kernels amortize along a second axis, the
 // right-hand sides: one sweep of L/U advances all m vectors, so each
-// matrix read serves 2*m SpMV applications instead of 2. Asymptotically
-// the matrix traffic per SpMV drops to 1/(2m) of a plain CSR sweep.
-//
-// Layouts generalize the single-vector ones by widening every slot to a
-// stripe of m contiguous components:
-//
-//   - separate: two row-major blocks a, b (a[i*m+j] is component of
-//     vector j at row i), alternating even/odd iterates;
-//   - BtB: one block xy with xy[(2i+p)*m + j] interleaving the two live
-//     iterates (parity p) of all m vectors, so the inner loop touches
-//     one contiguous 2m-wide stripe per matrix column.
+// matrix read serves 2*m SpMV applications instead of 2.
+// Asymptotically the matrix traffic per SpMV drops to 1/(2m) of a plain
+// CSR sweep. The stripe layouts are described at fbState.
 //
 // The m = 4 kernels keep both stripes' partial sums in registers (the
 // same 4-way unrolling discipline as sparse.SpMV); other widths
-// accumulate in place through the output stripes.
-
-// fbMultiState carries the batched kernel buffers (all n*m row-major,
-// xy 2*n*m).
-type fbMultiState struct {
-	tmp []float64
-	xy  []float64 // BtB layout (nil for the separate layout)
-	a   []float64 // separate layout: even iterates
-	b   []float64 // separate layout: odd iterates
-	x0b []float64 // packed start block (head SpMM input)
-}
-
-func newFBMultiState(n, m int, btb bool) *fbMultiState {
-	s := &fbMultiState{
-		tmp: make([]float64, n*m),
-		x0b: make([]float64, n*m),
-	}
-	if btb {
-		s.xy = make([]float64, 2*n*m)
-	} else {
-		s.a = make([]float64, n*m)
-		s.b = make([]float64, n*m)
-	}
-	return s
-}
+// accumulate in place through the output stripes. fbState.sweep picks
+// among them.
 
 // checkMulti validates the common batched-call arguments and returns
 // (n, m).
@@ -71,160 +40,12 @@ func checkMulti(n int, xs [][]float64, k int, coeffs []float64) (int, int, error
 	return n, m, nil
 }
 
-// FBMPKSerialMulti runs the batched forward-backward MPK on a split
-// matrix: it computes A^k x_j for every vector in xs with one pipeline
-// pass, returning the results as fresh vectors. btb selects the
-// interleaved stripe layout. coeffs, when non-nil (length k+1), also
-// accumulates combo_j = sum coeffs[i] * A^i * x_j for every vector
-// (returned second, else nil).
-func FBMPKSerialMulti(tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
-	return fbmpkSerialMulti(nil, nil, tri, xs, k, btb, coeffs)
-}
-
-// fbmpkSerialMulti is FBMPKSerialMulti with an externally supplied
-// batched state (nil allocates) and run environment (cancellation
-// checked once per sweep).
-func fbmpkSerialMulti(st *fbMultiState, env *runEnv, tri *sparse.Triangular, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
-	n, m, err := checkMulti(tri.N, xs, k, coeffs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if m == 1 {
-		// Width-1 stripes degrade to the scalar pipeline; use it.
-		xk, combo, err := fbmpkSerial(nil, env, tri, xs[0], k, btb, coeffs, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		xks = [][]float64{xk}
-		if combo != nil {
-			combos = [][]float64{combo}
-		}
-		return xks, combos, nil
-	}
-	if st == nil {
-		st = newFBMultiState(n, m, btb)
-	}
-	packBlock(xs, st.x0b, m, 0, n)
-	var cmb []float64
-	if coeffs != nil {
-		cmb = make([]float64, n*m)
-		c0 := coeffs[0]
-		for i, v := range st.x0b {
-			cmb[i] = c0 * v
-		}
-	}
-
-	clock := env.serialClock()
-	sparse.SpMMRange(tri.U, st.x0b, st.tmp, m, 0, n) // head
-	if btb {
-		for i := 0; i < n; i++ {
-			copy(st.xy[2*i*m:2*i*m+m], st.x0b[i*m:i*m+m])
-		}
-	} else {
-		copy(st.a, st.x0b)
-	}
-	clock.endCompute(phaseHead, -1)
-
-	t := 0
-	for t < k {
-		if env.canceled() {
-			return nil, nil, errCanceledRun
-		}
-		last := t+1 == k
-		clock.beginSweep(phaseForward)
-		if btb {
-			fbForwardBtBMultiRange(tri, st.xy, st.tmp, m, 0, n, last)
-		} else {
-			fbForwardSepMultiRange(tri, st.a, st.b, st.tmp, m, 0, n, last)
-		}
-		t++
-		clock.endSweepCompute(phaseForward, int32(t))
-		if cmb != nil && coeffs[t] != 0 {
-			if btb {
-				accumulateMultiBtB(cmb, st.xy, coeffs[t], m, 1, 0, n)
-			} else {
-				accumulateMultiSep(cmb, st.b, coeffs[t], m, 0, n)
-			}
-		}
-		if t == k {
-			break
-		}
-		last = t+1 == k
-		clock.beginSweep(phaseBackward)
-		if btb {
-			fbBackwardBtBMultiRange(tri, st.xy, st.tmp, m, 0, n, last)
-		} else {
-			fbBackwardSepMultiRange(tri, st.a, st.b, st.tmp, m, 0, n, last)
-		}
-		t++
-		clock.endSweepCompute(phaseBackward, int32(t))
-		if cmb != nil && coeffs[t] != 0 {
-			if btb {
-				accumulateMultiBtB(cmb, st.xy, coeffs[t], m, 0, 0, n)
-			} else {
-				accumulateMultiSep(cmb, st.a, coeffs[t], m, 0, n)
-			}
-		}
-	}
-	xks = st.unpackResult(n, m, k, btb)
-	if cmb != nil {
-		combos = sparse.UnpackVectors(cmb, n, m)
-	}
-	return xks, combos, nil
-}
-
-// unpackResult extracts A^k x_j for every vector from the live iterate.
-func (s *fbMultiState) unpackResult(n, m, k int, btb bool) [][]float64 {
-	odd := k%2 == 1
-	out := make([][]float64, m)
-	for j := range out {
-		out[j] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		var stripe []float64
-		switch {
-		case btb && odd:
-			stripe = s.xy[(2*i+1)*m : (2*i+1)*m+m]
-		case btb:
-			stripe = s.xy[2*i*m : 2*i*m+m]
-		case odd:
-			stripe = s.b[i*m : i*m+m]
-		default:
-			stripe = s.a[i*m : i*m+m]
-		}
-		for j := range out {
-			out[j][i] = stripe[j]
-		}
-	}
-	return out
-}
-
 // packBlock gathers rows [lo, hi) of the m column vectors into the
 // row-major block dst.
 func packBlock(xs [][]float64, dst []float64, m, lo, hi int) {
 	for j, x := range xs {
 		for i := lo; i < hi; i++ {
 			dst[i*m+j] = x[i]
-		}
-	}
-}
-
-// accumulateMultiSep adds c times rows [lo, hi) of the row-major block
-// src to the combo block.
-func accumulateMultiSep(cmb, src []float64, c float64, m, lo, hi int) {
-	for i := lo * m; i < hi*m; i++ {
-		cmb[i] += c * src[i]
-	}
-}
-
-// accumulateMultiBtB adds c times the parity-p stripes of xy over rows
-// [lo, hi) to the combo block.
-func accumulateMultiBtB(cmb, xy []float64, c float64, m, p, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ci := cmb[i*m : i*m+m : i*m+m]
-		si := xy[(2*i+p)*m : (2*i+p)*m+m]
-		for j := range ci {
-			ci[j] += c * si[j]
 		}
 	}
 }
@@ -237,10 +58,6 @@ func accumulateMultiBtB(cmb, xy []float64, c float64, m, p, lo, hi int) {
 func fbForwardBtBMultiRange(tri *sparse.Triangular, xy, tmp []float64, m, lo, hi int, last bool) {
 	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
 	d := tri.D
-	if m == 4 {
-		fbForwardBtBMulti4Range(rp, ci, v, d, xy, tmp, lo, hi, last)
-		return
-	}
 	if last {
 		for i := lo; i < hi; i++ {
 			eb := 2 * i * m
@@ -358,10 +175,6 @@ func fbForwardBtBMulti4Range(rp []int64, ci []int32, v, d, xy, tmp []float64, lo
 // bottom-up, and unless last leaves tmp = U * x_next.
 func fbBackwardBtBMultiRange(tri *sparse.Triangular, xy, tmp []float64, m, lo, hi int, last bool) {
 	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if m == 4 {
-		fbBackwardBtBMulti4Range(rp, ci, v, xy, tmp, lo, hi, last)
-		return
-	}
 	if last {
 		for i := hi - 1; i >= lo; i-- {
 			eb := 2 * i * m
@@ -456,10 +269,6 @@ func fbBackwardBtBMulti4Range(rp []int64, ci []int32, v, xy, tmp []float64, lo, 
 func fbForwardSepMultiRange(tri *sparse.Triangular, xprev, xnext, tmp []float64, m, lo, hi int, last bool) {
 	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
 	d := tri.D
-	if m == 4 {
-		fbForwardSepMulti4Range(rp, ci, v, d, xprev, xnext, tmp, lo, hi, last)
-		return
-	}
 	if last {
 		for i := lo; i < hi; i++ {
 			xi := xprev[i*m : i*m+m]
@@ -574,10 +383,6 @@ func fbForwardSepMulti4Range(rp []int64, ci []int32, v, d, xprev, xnext, tmp []f
 // blocks: xprev holds x_t (the odd iterate), xnext receives x_{t+1}.
 func fbBackwardSepMultiRange(tri *sparse.Triangular, xnext, xprev, tmp []float64, m, lo, hi int, last bool) {
 	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if m == 4 {
-		fbBackwardSepMulti4Range(rp, ci, v, xnext, xprev, tmp, lo, hi, last)
-		return
-	}
 	if last {
 		for i := hi - 1; i >= lo; i-- {
 			ni := xnext[i*m : i*m+m : i*m+m]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,10 +18,10 @@ func randBlock(rng *rand.Rand, n, m int) [][]float64 {
 	return xs
 }
 
-// The batched invariant the whole feature rests on: FBMPKSerialMulti
-// must reproduce m independent FBMPKSerial runs bit-for-bit-close, for
+// The batched invariant the whole feature rests on: a batched run must
+// reproduce m independent single-vector runs bit-for-bit-close, for
 // both layouts, odd and even k, and every stripe width including the
-// specialized m = 4 path.
+// scalar m = 1 and register-blocked m = 4 kernels.
 func TestFBMPKSerialMultiMatchesIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, m := range []int{1, 2, 3, 4, 5, 8} {
@@ -34,12 +35,12 @@ func TestFBMPKSerialMultiMatchesIndependent(t *testing.T) {
 			xs := randBlock(rng, n, m)
 			for _, k := range []int{1, 2, 3, 6, 7} {
 				for _, btb := range []bool{false, true} {
-					got, _, err := FBMPKSerialMulti(tri, xs, k, btb, nil)
+					got, _, err := fbSerial(tri).RunMulti(xs, k, btb, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for j := 0; j < m; j++ {
-						want, _, err := FBMPKSerial(tri, xs[j], k, btb, nil, nil)
+						want, _, err := fbSerial(tri).Run(xs[j], k, btb, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -69,7 +70,7 @@ func TestFBMPKSerialMultiCombo(t *testing.T) {
 				coeffs[i] = rng.NormFloat64()
 			}
 			for _, btb := range []bool{false, true} {
-				gotX, gotC, err := FBMPKSerialMulti(tri, xs, k, btb, coeffs)
+				gotX, gotC, err := fbSerial(tri).RunMulti(xs, k, btb, coeffs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +78,7 @@ func TestFBMPKSerialMultiCombo(t *testing.T) {
 					t.Fatalf("m=%d k=%d btb=%v: nil combos with coeffs", m, k, btb)
 				}
 				for j := 0; j < m; j++ {
-					wantX, wantC, err := FBMPKSerial(tri, xs[j], k, btb, coeffs, nil)
+					wantX, wantC, err := fbSerial(tri).Run(xs[j], k, btb, coeffs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,66 +99,105 @@ func TestFBMPKSerialMultiErrors(t *testing.T) {
 	a := randomCSR(rng, 8, 2)
 	tri, _ := sparse.Split(a)
 	xs := randBlock(rng, 8, 2)
-	if _, _, err := FBMPKSerialMulti(tri, nil, 2, true, nil); err == nil {
+	if _, _, err := fbSerial(tri).RunMulti(nil, 2, true, nil); err == nil {
 		t.Error("accepted empty block")
 	}
-	if _, _, err := FBMPKSerialMulti(tri, [][]float64{xs[0], xs[1][:5]}, 2, true, nil); err == nil {
+	if _, _, err := fbSerial(tri).RunMulti([][]float64{xs[0], xs[1][:5]}, 2, true, nil); err == nil {
 		t.Error("accepted ragged block")
 	}
-	if _, _, err := FBMPKSerialMulti(tri, xs, 0, true, nil); err == nil {
+	if _, _, err := fbSerial(tri).RunMulti(xs, 0, true, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := FBMPKSerialMulti(tri, xs, 3, true, []float64{1, 2}); err == nil {
+	if _, _, err := fbSerial(tri).RunMulti(xs, 3, true, []float64{1, 2}); err == nil {
 		t.Error("accepted wrong-length coeffs")
 	}
 }
 
-func TestFBParallelMultiMatchesSerialMulti(t *testing.T) {
+// TestFBParallelOneWorkerBitwise pins the one-driver contract: on one
+// ABMC split, the one-worker schedule (no pool, the single row range
+// [0, n)) and a 4-worker pool give bitwise-identical powers, iterates,
+// combinations and batched results, for every block width and both
+// layouts.
+func TestFBParallelOneWorkerBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for _, workers := range []int{1, 2, 4} {
-		pool := parallel.NewPool(workers)
-		for _, m := range []int{1, 2, 4, 5} {
-			n := 30 + rng.Intn(90)
-			a := randomSymCSR(rng, n, 3)
-			ord, pm, err := reorder.ABMCReorder(a, reorder.ABMCOptions{NumBlocks: 16})
+	n := 150
+	a := randomSymCSR(rng, n, 3)
+	ord, pm, err := reorder.ABMCReorder(a, reorder.ABMCOptions{NumBlocks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri, err := sparse.Split(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	par, err := NewFBParallel(tri, ord, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := fbSerial(tri)
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: length %d != %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: differs at %d: %v != %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	iterates := func(f *FBParallel, x0 []float64, k int, btb bool) [][]float64 {
+		t.Helper()
+		var out [][]float64
+		if _, _, err := f.RunCapture(x0, k, btb, nil, func(_ int, x []float64) {
+			out = append(out, append([]float64(nil), x...))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	xs := randBlock(rng, n, 4)
+	for _, btb := range []bool{false, true} {
+		for _, k := range []int{1, 4, 5} {
+			coeffs := make([]float64, k+1)
+			for i := range coeffs {
+				coeffs[i] = rng.NormFloat64()
+			}
+			tag := fmt.Sprintf("btb=%v k=%d", btb, k)
+			wantX, wantC, err := one.Run(xs[0], k, btb, coeffs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tri, err := sparse.Split(pm)
+			gotX, gotC, err := par.Run(xs[0], k, btb, coeffs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fbm, err := NewFBParallelMultiFrom(tri, ord, pool)
-			if err != nil {
-				t.Fatal(err)
+			same(tag+" MPK", gotX, wantX)
+			same(tag+" SSpMV", gotC, wantC)
+			wantAll, gotAll := iterates(one, xs[0], k, btb), iterates(par, xs[0], k, btb)
+			if len(wantAll) != k || len(gotAll) != k {
+				t.Fatalf("%s: captured %d and %d iterates, want %d", tag, len(wantAll), len(gotAll), k)
 			}
-			xs := randBlock(rng, n, m)
-			for _, k := range []int{1, 2, 5} {
-				coeffs := make([]float64, k+1)
-				for i := range coeffs {
-					coeffs[i] = rng.NormFloat64()
+			for p := range wantAll {
+				same(fmt.Sprintf("%s MPKAll power %d", tag, p+1), gotAll[p], wantAll[p])
+			}
+			for m := 1; m <= 4; m++ {
+				wantXs, wantCs, err := one.RunMulti(xs[:m], k, btb, coeffs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, btb := range []bool{false, true} {
-					gotX, gotC, err := fbm.Run(xs, k, btb, coeffs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantX, wantC, err := FBMPKSerialMulti(tri, xs, k, btb, coeffs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := 0; j < m; j++ {
-						if d := sparse.RelMaxDiff(gotX[j], wantX[j]); d > 1e-12 {
-							t.Fatalf("w=%d m=%d k=%d btb=%v vector %d xk: diff %g", workers, m, k, btb, j, d)
-						}
-						if d := sparse.RelMaxDiff(gotC[j], wantC[j]); d > 1e-12 {
-							t.Fatalf("w=%d m=%d k=%d btb=%v vector %d combo: diff %g", workers, m, k, btb, j, d)
-						}
-					}
+				gotXs, gotCs, err := par.RunMulti(xs[:m], k, btb, coeffs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < m; j++ {
+					same(fmt.Sprintf("%s m=%d MPKMulti[%d]", tag, m, j), gotXs[j], wantXs[j])
+					same(fmt.Sprintf("%s m=%d SSpMVMulti[%d]", tag, m, j), gotCs[j], wantCs[j])
 				}
 			}
 		}
-		pool.Close()
 	}
 }
 
@@ -235,18 +275,18 @@ func TestFBParallelMultiRace(t *testing.T) {
 	}
 	pool := parallel.NewPool(8)
 	defer pool.Close()
-	fbm, err := NewFBParallelMultiFrom(tri, ord, pool)
+	fb, err := NewFBParallel(tri, ord, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs := randBlock(rng, n, 4)
 	coeffs := []float64{1, -0.5, 0.25, -0.125, 0.0625, 0.03125}
 	for _, btb := range []bool{false, true} {
-		gotX, gotC, err := fbm.Run(xs, 5, btb, coeffs)
+		gotX, gotC, err := fb.RunMulti(xs, 5, btb, coeffs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantX, wantC, err := FBMPKSerialMulti(tri, xs, 5, btb, coeffs)
+		wantX, wantC, err := fbSerial(tri).RunMulti(xs, 5, btb, coeffs)
 		if err != nil {
 			t.Fatal(err)
 		}

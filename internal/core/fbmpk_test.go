@@ -27,6 +27,13 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
+// fbSerial is the one-worker forward-backward executor for tri (it
+// cannot fail without a pool).
+func fbSerial(tri *sparse.Triangular) *FBParallel {
+	f, _ := NewFBParallel(tri, nil, nil)
+	return f
+}
+
 // refMPK computes A^k x with repeated dense-checked SpMV.
 func refMPK(a *sparse.CSR, x0 []float64, k int) []float64 {
 	x := sparse.CopyVec(x0)
@@ -107,7 +114,7 @@ func TestFBMPKSerialMatchesStandard(t *testing.T) {
 		for k := 1; k <= 9; k++ {
 			want := refMPK(a, x0, k)
 			for _, btb := range []bool{false, true} {
-				got, _, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
+				got, _, err := fbSerial(tri).Run(x0, k, btb, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +137,7 @@ func TestFBMPKSerialQuickProperty(t *testing.T) {
 			return false
 		}
 		x0 := randVec(rng, n)
-		got, _, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
+		got, _, err := fbSerial(tri).Run(x0, k, btb, nil)
 		if err != nil {
 			return false
 		}
@@ -149,7 +156,7 @@ func TestFBMPKIteratesObserved(t *testing.T) {
 	x0 := randVec(rng, n)
 	for _, btb := range []bool{false, true} {
 		var got []int
-		_, _, err := FBMPKSerial(tri, x0, 5, btb, nil, func(p int, x []float64) {
+		_, _, err := fbSerial(tri).RunCapture(x0, 5, btb, nil, func(p int, x []float64) {
 			got = append(got, p)
 			want := refMPK(a, x0, p)
 			if d := sparse.RelMaxDiff(x, want); d > 1e-11 {
@@ -197,7 +204,7 @@ func TestSSpMVAgainstHorner(t *testing.T) {
 			t.Fatalf("trial %d: standard SSpMV diff %g", trial, d)
 		}
 		for _, btb := range []bool{false, true} {
-			_, combo, err := FBMPKSerial(tri, x0, k, btb, coeffs, nil)
+			_, combo, err := fbSerial(tri).Run(x0, k, btb, coeffs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,13 +238,13 @@ func TestFBMPKErrors(t *testing.T) {
 	a := randomCSR(rng, 6, 2)
 	tri, _ := sparse.Split(a)
 	x := randVec(rng, 6)
-	if _, _, err := FBMPKSerial(tri, x[:5], 2, true, nil, nil); err == nil {
+	if _, _, err := fbSerial(tri).Run(x[:5], 2, true, nil); err == nil {
 		t.Error("accepted short x0")
 	}
-	if _, _, err := FBMPKSerial(tri, x, 0, true, nil, nil); err == nil {
+	if _, _, err := fbSerial(tri).Run(x, 0, true, nil); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, _, err := FBMPKSerial(tri, x, 3, true, []float64{1, 2}, nil); err == nil {
+	if _, _, err := fbSerial(tri).Run(x, 3, true, []float64{1, 2}); err == nil {
 		t.Error("accepted wrong-length coeffs")
 	}
 }
@@ -256,7 +263,7 @@ func TestFBMPKDiagonalOnlyMatrix(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		want := refMPK(a, x0, k)
 		for _, btb := range []bool{false, true} {
-			got, _, err := FBMPKSerial(tri, x0, k, btb, nil, nil)
+			got, _, err := fbSerial(tri).Run(x0, k, btb, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +291,7 @@ func TestFBMPKZeroDiagonal(t *testing.T) {
 	x0 := randVec(rng, n)
 	for _, k := range []int{1, 2, 3, 6} {
 		want := refMPK(a, x0, k)
-		got, _, err := FBMPKSerial(tri, x0, k, true, nil, nil)
+		got, _, err := fbSerial(tri).Run(x0, k, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

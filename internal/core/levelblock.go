@@ -41,8 +41,8 @@ const (
 	// the cache simulator models (cachesim.ConfigXeon.SizeBytes / 2),
 	// leaving the other half for the live iterate-vector window. Kept
 	// as a literal because core cannot import cachesim (cachesim's
-	// trace tests import core); cachesim's wavefront test asserts the
-	// two stay in sync.
+	// trace tests import core); TestDefaultLevelBlockBytesMatchesXeon
+	// in cachesim asserts the two stay in sync.
 	DefaultLevelBlockBytes = 37_486_592 / 2
 
 	// DefaultTuneK is the power the engine autotuner arbitrates for
@@ -177,12 +177,20 @@ func spmvRowsCSR(a *sparse.CSR, x, y []float64, lo, hi int) {
 	}
 }
 
-// levelBlockedMPK runs the skewed block schedule serially over the
+// levelBlockedMPK runs the skewed block schedule over the
 // level-permuted matrix a. xs holds the k+1 live iterate vectors with
 // xs[0] already filled (permuted order); on return xs[k] = A^k x0 in
-// permuted order. Cancellation is polled at block-pass boundaries.
-// onIterate observes each power the pass completed, ascending.
-func levelBlockedMPK(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, onIterate IterateFunc) error {
+// permuted order. Within each (pass, power) step all rows are
+// independent, so the workers of pool split the step's row range
+// evenly and barrier between steps; a nil pool runs the one-worker
+// schedule inline, with no barriers. The per-row arithmetic is
+// identical for any worker count (each row is one ordered dot product),
+// so results are bitwise identical across pool sizes. Cancellation is
+// observed at step boundaries: workers switch to skip mode and drain
+// the remaining barriers without computing, the same protocol as the
+// other engines. onIterate observes each power a pass completed,
+// ascending.
+func levelBlockedMPK(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, pool *parallel.Pool, onIterate IterateFunc) error {
 	nl := ls.lp.NumLevels()
 	if nl == 0 {
 		// Empty matrix: every power is the empty vector.
@@ -193,54 +201,15 @@ func levelBlockedMPK(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float
 		}
 		return nil
 	}
-	clock := env.serialClock()
 	nb := ls.numBlocks()
-	for b := 0; b <= nb; b++ {
-		if env.canceled() {
-			return errCanceledRun
-		}
-		bLo, bHi := ls.passBounds(b, k)
-		clock.beginSweep(phaseLevel)
-		for p := 1; p <= k; p++ {
-			lo, hi := ls.stepRange(bLo, bHi, p)
-			if lo < hi {
-				spmvRowsCSR(a, xs[p-1], xs[p], lo, hi)
-			}
-		}
-		clock.endSweepCompute(phaseLevel, int32(b))
-		if onIterate != nil {
-			pLo, pHi := hookPowers(bLo, bHi, nl, k)
-			for p := pLo; p < pHi; p++ {
-				onIterate(p, xs[p])
-			}
-		}
+	w := 1
+	var bar *parallel.Barrier
+	if pool != nil {
+		w = pool.Workers()
+		bar = parallel.NewBarrier(w)
 	}
-	return nil
-}
-
-// levelBlockedMPKParallel is the pool-parallel form: within each
-// (pass, power) step all rows are independent, so workers split the
-// step's row range evenly and barrier between steps. The per-row
-// arithmetic is identical for any worker count (each row is one
-// ordered dot product), so results are bitwise identical to the serial
-// kernel. Cancellation is observed at step barriers: workers switch to
-// skip mode and drain the remaining barriers without computing, the
-// same protocol as the other parallel engines.
-func levelBlockedMPKParallel(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [][]float64, k int, pool *parallel.Pool, onIterate IterateFunc) error {
-	nl := ls.lp.NumLevels()
-	if nl == 0 {
-		if onIterate != nil {
-			for p := 1; p <= k; p++ {
-				onIterate(p, xs[p])
-			}
-		}
-		return nil
-	}
-	nb := ls.numBlocks()
-	w := pool.Workers()
-	bar := parallel.NewBarrier(w)
-	pool.Run(func(id int) {
-		clock := env.workerClock(id)
+	body := func(id int) {
+		clock := env.clock(pool, id)
 		skip := false
 		for b := 0; b <= nb; b++ {
 			bLo, bHi := ls.passBounds(b, k)
@@ -257,9 +226,7 @@ func levelBlockedMPKParallel(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [
 					wHi := lo + (hi-lo)*(id+1)/w
 					spmvRowsCSR(a, xs[p-1], xs[p], wLo, wHi)
 				}
-				clock.endCompute(phaseLevel, int32(b))
-				bar.Wait()
-				clock.endWait(phaseLevel, int32(b))
+				crossStep(clock, bar, phaseLevel, int32(b))
 				if !skip && env.canceled() {
 					skip = true
 				}
@@ -275,15 +242,18 @@ func levelBlockedMPKParallel(env *runEnv, a *sparse.CSR, ls *levelSchedule, xs [
 							onIterate(p, xs[p])
 						}
 					}
-					clock.endCompute(phaseLevel, int32(b))
-					bar.Wait()
-					clock.endWait(phaseLevel, int32(b))
+					crossStep(clock, bar, phaseLevel, int32(b))
 				}
 			}
 			clock.endSweep(phaseLevel, int32(b))
 		}
 		clock.flush()
-	})
+	}
+	if pool == nil {
+		body(0)
+	} else {
+		pool.Run(body)
+	}
 	if env.canceled() {
 		return errCanceledRun
 	}
@@ -357,7 +327,7 @@ func LevelBlockedMPK(a *sparse.CSR, x0 []float64, k int, blockBytes int, onItera
 			onIterate(power, scratch)
 		}
 	}
-	if err := levelBlockedMPK(nil, pa, ls, xs, k, hook); err != nil {
+	if err := levelBlockedMPK(nil, pa, ls, xs, k, nil, hook); err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)

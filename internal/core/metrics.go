@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fbmpk/internal/events"
+	"fbmpk/internal/parallel"
 )
 
 // Observability layer of the concurrent Plan engine. Every Plan owns a
@@ -29,7 +30,6 @@ type opKind int
 const (
 	opMPK opKind = iota
 	opMPKAll
-	opMPKBatch
 	opMPKMulti
 	opSSpMV
 	opSSpMVMulti
@@ -41,7 +41,6 @@ const (
 var opNames = [numOps]string{
 	opMPK:          "mpk",
 	opMPKAll:       "mpk_all",
-	opMPKBatch:     "mpk_batch",
 	opMPKMulti:     "mpk_multi",
 	opSSpMV:        "sspmv",
 	opSSpMVMulti:   "sspmv_multi",
@@ -96,7 +95,6 @@ var regionNames = [numPhases]string{
 var opRegionNames = [numOps]string{
 	opMPK:          "fbmpk.mpk",
 	opMPKAll:       "fbmpk.mpk_all",
-	opMPKBatch:     "fbmpk.mpk_batch",
 	opMPKMulti:     "fbmpk.mpk_multi",
 	opSSpMV:        "fbmpk.sspmv",
 	opSSpMVMulti:   "fbmpk.sspmv_multi",
@@ -322,6 +320,16 @@ func (e *runEnv) serialClock() *phaseClock {
 		return nil
 	}
 	return &phaseClock{rec: e.rec, lane: e.lane, seq: e.seq, t: time.Now()}
+}
+
+// clock returns the phase clock of worker id in a schedule run on
+// pool: the worker clock with a pool, the caller's serial clock for
+// the one-worker schedule a nil pool runs inline.
+func (e *runEnv) clock(pool *parallel.Pool, id int) *phaseClock {
+	if pool == nil {
+		return e.serialClock()
+	}
+	return e.workerClock(id)
 }
 
 // phaseClock accumulates one worker's wait vs. compute time per phase

@@ -68,7 +68,7 @@ func StandardMPKParallel(a *sparse.CSR, x0 []float64, k int, pool *parallel.Pool
 // execution backend, with a run environment: workers poll the cancel
 // flag after each power barrier and switch to skip mode (crossing the
 // remaining barriers without computing), the same protocol as
-// FBParallel.runCapture. The backend's partition supplies worker row
+// FBParallel.run. The backend's partition supplies worker row
 // bounds aligned to its storage granularity, so ranges write disjoint
 // y entries.
 func standardMPKParallel(env *runEnv, be execBackend, x0 []float64, k int, pool *parallel.Pool, onIterate IterateFunc) ([]float64, error) {
@@ -99,9 +99,7 @@ func standardMPKParallel(env *runEnv, be execBackend, x0 []float64, k int, pool 
 			src, dst = dst, src
 			// All writers must finish before anyone reads dst as the
 			// next source, and before the iterate callback fires.
-			clock.endCompute(ph, -1)
-			bar.Wait()
-			clock.endWait(ph, -1)
+			crossStep(clock, bar, ph, -1)
 			if !skip && env.canceled() {
 				skip = true
 			}
@@ -109,9 +107,7 @@ func standardMPKParallel(env *runEnv, be execBackend, x0 []float64, k int, pool 
 				if id == 0 && !skip {
 					onIterate(power, src)
 				}
-				clock.endCompute(ph, -1)
-				bar.Wait()
-				clock.endWait(ph, -1)
+				crossStep(clock, bar, ph, -1)
 			}
 			clock.endSweep(ph, int32(power))
 		}

@@ -8,83 +8,91 @@ import (
 	"fbmpk/internal/sparse"
 )
 
-// FBParallel executes the forward-backward pipeline in parallel over
-// an ABMC-ordered matrix (Section III-D / Algorithm 2). The matrix
-// must already be permuted by the ABMC ordering; blocks of one color
-// are distributed over the workers, colors run in sequence with a
-// barrier in between — ascending in the forward sweep, descending in
-// the backward sweep — which is exactly the dependency structure the
-// coloring guarantees safe.
+// FBParallel executes the forward-backward pipeline (Algorithm 2) for
+// one split matrix, serially or in parallel over an ABMC ordering.
+// With a pool the matrix must already be permuted by the ABMC ordering;
+// blocks of one color are distributed over the workers, colors run in
+// sequence with a barrier in between — ascending in the forward sweep,
+// descending in the backward sweep — which is exactly the dependency
+// structure the coloring guarantees safe. Without a pool the run is the
+// one-worker case of the same schedule: the calling goroutine sweeps
+// the single row range [0, n), crosses no barriers, and needs no
+// ordering (any row order is legal for a full sweep). Per-row
+// arithmetic is identical in every schedule, so serial and parallel
+// runs are bitwise identical.
 type FBParallel struct {
 	tri  *sparse.Triangular
-	ord  *reorder.ABMCResult
-	pool *parallel.Pool
-	bar  *parallel.Barrier
+	pool *parallel.Pool    // nil: one worker, run inline
+	bar  *parallel.Barrier // nil without a pool
 
-	// colorBounds[c] assigns each worker a contiguous block range of
-	// color c, balanced by row count ("the number of blocks for each
-	// thread task are allocated in advance", Algorithm 2).
-	colorBounds [][]int
-	headBounds  []int // row partition for the head SpMV over U
-	denseBounds []int // even row partition for vector updates
+	// steps[c][id]..steps[c][id+1] is worker id's row range in step c
+	// of a sweep: one contiguous block range per color, balanced by row
+	// count ("the number of blocks for each thread task are allocated in
+	// advance", Algorithm 2), or the single step [0, n) without a pool.
+	steps [][]int
+	head  []int // row partition for the head SpMV over U
+	dense []int // even row partition for vector updates
 }
 
-// NewFBParallel prepares a parallel FBMPK executor. tri must be the
-// split of the ABMC-permuted matrix; ord the ordering that produced
-// it. The pool is borrowed, not owned.
+// NewFBParallel prepares a forward-backward executor for tri. With a
+// pool (borrowed, not owned), tri must be the split of the
+// ABMC-permuted matrix and ord the ordering that produced it; with a
+// nil pool the executor runs serially and ord may be nil.
 func NewFBParallel(tri *sparse.Triangular, ord *reorder.ABMCResult, pool *parallel.Pool) (*FBParallel, error) {
+	f := &FBParallel{tri: tri, pool: pool}
+	if pool == nil {
+		whole := []int{0, tri.N}
+		f.steps, f.head, f.dense = [][]int{whole}, whole, whole
+		return f, nil
+	}
 	if tri.N != len(ord.Perm) {
 		return nil, fmt.Errorf("core: matrix size %d != ordering size %d: %w", tri.N, len(ord.Perm), ErrDimension)
 	}
 	w := pool.Workers()
-	f := &FBParallel{
-		tri:  tri,
-		ord:  ord,
-		pool: pool,
-		bar:  parallel.NewBarrier(w),
+	f.bar = parallel.NewBarrier(w)
+	f.steps = make([][]int, ord.NumColors)
+	for c := range f.steps {
+		blocks := parallel.PartitionBlocks(int(ord.ColorPtr[c]), int(ord.ColorPtr[c+1]), w, ord.BlockPtr)
+		rows := make([]int, w+1)
+		for id, b := range blocks {
+			rows[id] = int(ord.BlockPtr[b])
+		}
+		f.steps[c] = rows
 	}
-	f.colorBounds = make([][]int, ord.NumColors)
-	for c := 0; c < ord.NumColors; c++ {
-		f.colorBounds[c] = parallel.PartitionBlocks(
-			int(ord.ColorPtr[c]), int(ord.ColorPtr[c+1]), w, ord.BlockPtr)
-	}
-	f.headBounds = parallel.PartitionByPtr(tri.N, w, tri.U.RowPtr)
-	f.denseBounds = parallel.PartitionRows(tri.N, w, func(int) int64 { return 1 })
+	f.head = parallel.PartitionByPtr(tri.N, w, tri.U.RowPtr)
+	f.dense = parallel.PartitionRows(tri.N, w, func(int) int64 { return 1 })
 	return f, nil
 }
 
-// rowRange resolves worker id's row span within color c.
-func (f *FBParallel) rowRange(c, id int) (int, int) {
-	b := f.colorBounds[c]
-	return int(f.ord.BlockPtr[b[id]]), int(f.ord.BlockPtr[b[id+1]])
-}
-
-// Run computes A^k x0 (x0 and the result in the PERMUTED numbering).
-// btb selects the interleaved layout; coeffs (nil or length k+1)
-// additionally accumulates the SSpMV combination.
+// Run computes A^k x0 (x0 and the result in the executor's row
+// numbering, i.e. PERMUTED for an ABMC executor). btb selects the
+// interleaved layout; coeffs (nil or length k+1) additionally
+// accumulates the SSpMV combination sum coeffs[i] * A^i * x0.
 func (f *FBParallel) Run(x0 []float64, k int, btb bool, coeffs []float64) (xk, combo []float64, err error) {
 	return f.RunCapture(x0, k, btb, coeffs, nil)
 }
 
 // RunCapture is Run with an iterate observer: onIterate fires after
-// every completed power, on worker 0, with all other workers parked at
-// a barrier (so the scratch iterate is stable while observed).
+// every completed power, on worker 0, with all other workers past the
+// sweep that produced it (so the scratch iterate is stable while
+// observed).
 func (f *FBParallel) RunCapture(x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
-	return f.runCapture(f.tri, nil, nil, x0, k, btb, coeffs, onIterate)
+	return f.runVec(f.tri, nil, nil, x0, k, btb, coeffs, onIterate)
 }
 
-// runCapture is RunCapture with an externally supplied pipeline state
-// (nil allocates) and run environment, executing on tri — any split
-// sharing the structure f was scheduled for (the plan passes its
-// pinned epoch's split, so value updates never touch a run in flight).
-// Cancellation protocol: each worker polls env's flag after every
-// color barrier; a worker that observes it switches to skip mode — it
-// stops computing but keeps crossing every barrier of the schedule, so
-// workers that read the flag at different boundaries can never
-// deadlock each other, and the pool is immediately reusable
-// afterwards. If the flag was set the run returns errCanceledRun and
-// the output buffers are unspecified.
-func (f *FBParallel) runCapture(tri *sparse.Triangular, st *fbState, env *runEnv, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
+// RunMulti computes A^k x_j for every vector in xs with one batched
+// pipeline pass: every sweep of L/U advances all m vectors, so each
+// matrix read serves 2*m SpMV applications. coeffs (nil or length k+1)
+// additionally accumulates the SSpMV combination for every vector.
+func (f *FBParallel) RunMulti(xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+	return f.runMulti(f.tri, nil, nil, xs, k, btb, coeffs)
+}
+
+// runVec is RunCapture with an externally supplied pipeline state (nil
+// allocates) and run environment, executing on tri — any split sharing
+// the structure f was scheduled for (the plan passes its pinned
+// epoch's split, so value updates never touch a run in flight).
+func (f *FBParallel) runVec(tri *sparse.Triangular, st *fbState, env *runEnv, x0 []float64, k int, btb bool, coeffs []float64, onIterate IterateFunc) (xk, combo []float64, err error) {
 	n := tri.N
 	if len(x0) != n {
 		return nil, nil, fmt.Errorf("core: x0 length %d != n %d: %w", len(x0), n, ErrDimension)
@@ -95,279 +103,177 @@ func (f *FBParallel) runCapture(tri *sparse.Triangular, st *fbState, env *runEnv
 	if coeffs != nil && len(coeffs) != k+1 {
 		return nil, nil, fmt.Errorf("core: coeffs length %d != k+1 = %d: %w", len(coeffs), k+1, ErrBadCoeffs)
 	}
-	if n == 0 {
-		if coeffs != nil {
-			combo = []float64{}
-		}
-		return []float64{}, combo, nil
-	}
 	if st == nil {
-		st = newFBState(n, btb)
+		st = newFBState(n, 1, btb)
 	}
-	if coeffs != nil {
-		combo = make([]float64, n)
+	combo, err = f.run(tri, st, env, x0, nil, k, coeffs, onIterate)
+	if err != nil {
+		return nil, nil, err
 	}
-	var scratch []float64
-	if onIterate != nil {
-		scratch = make([]float64, n)
-	}
-	// capture observes the completed iterate on worker 0. The sweep
-	// that follows never writes the slots being read (forward writes
-	// odd, backward writes even), and the other workers cannot start a
-	// second sweep before worker 0 joins their next color barrier, so
-	// no extra synchronization is needed.
-	capture := func(id, power int, odd bool) {
-		if onIterate == nil || id != 0 {
-			return
-		}
-		switch {
-		case btb && odd:
-			for i := 0; i < n; i++ {
-				scratch[i] = st.xy[2*i+1]
-			}
-		case btb:
-			for i := 0; i < n; i++ {
-				scratch[i] = st.xy[2*i]
-			}
-		case odd:
-			copy(scratch, st.b)
-		default:
-			copy(scratch, st.a)
-		}
-		onIterate(power, scratch)
-	}
-	nc := f.ord.NumColors
-
-	f.pool.Run(func(id int) {
-		clock := env.workerClock(id)
-		skip := false // cancellation observed: cross barriers, do no work
-		dLo, dHi := f.denseBounds[id], f.denseBounds[id+1]
-		// Init vectors and head: tmp = U * x0.
-		if btb {
-			for i := dLo; i < dHi; i++ {
-				st.xy[2*i] = x0[i]
-			}
-		} else {
-			copy(st.a[dLo:dHi], x0[dLo:dHi])
-		}
-		if combo != nil {
-			c0 := coeffs[0]
-			for i := dLo; i < dHi; i++ {
-				combo[i] = c0 * x0[i]
-			}
-		}
-		clock.endCompute(phaseHead, -1)
-		f.bar.Wait()
-		clock.endWait(phaseHead, -1)
-		sparse.SpMVRange(tri.U, x0, st.tmp, f.headBounds[id], f.headBounds[id+1])
-		clock.endCompute(phaseHead, -1)
-		f.bar.Wait()
-		clock.endWait(phaseHead, -1)
-		skip = env.canceled()
-
-		t := 0
-		for t < k {
-			last := t+1 == k
-			clock.beginSweep(phaseForward)
-			for c := 0; c < nc; c++ {
-				if !skip {
-					lo, hi := f.rowRange(c, id)
-					if btb {
-						fbForwardBtBRange(tri, st.xy, st.tmp, lo, hi, last)
-					} else {
-						fbForwardSepRange(tri, st.a, st.b, st.tmp, lo, hi, last)
-					}
-				}
-				clock.endCompute(phaseForward, int32(c))
-				f.bar.Wait()
-				clock.endWait(phaseForward, int32(c))
-				if !skip && env.canceled() {
-					skip = true
-				}
-			}
-			t++
-			clock.endSweep(phaseForward, int32(t))
-			if !skip {
-				if combo != nil && coeffs[t] != 0 {
-					cc := coeffs[t]
-					if btb {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.xy[2*i+1]
-						}
-					} else {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.b[i]
-						}
-					}
-				}
-				capture(id, t, true)
-			}
-			if t == k {
-				break
-			}
-			last = t+1 == k
-			clock.beginSweep(phaseBackward)
-			for c := nc - 1; c >= 0; c-- {
-				if !skip {
-					lo, hi := f.rowRange(c, id)
-					if btb {
-						fbBackwardBtBRange(tri, st.xy, st.tmp, lo, hi, last)
-					} else {
-						fbBackwardSepRange(tri, st.a, st.b, st.tmp, lo, hi, last)
-					}
-				}
-				clock.endCompute(phaseBackward, int32(c))
-				f.bar.Wait()
-				clock.endWait(phaseBackward, int32(c))
-				if !skip && env.canceled() {
-					skip = true
-				}
-			}
-			t++
-			clock.endSweep(phaseBackward, int32(t))
-			if !skip {
-				if combo != nil && coeffs[t] != 0 {
-					cc := coeffs[t]
-					if btb {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.xy[2*i]
-						}
-					} else {
-						for i := dLo; i < dHi; i++ {
-							combo[i] += cc * st.a[i]
-						}
-					}
-				}
-				capture(id, t, false)
-			}
-		}
-		clock.flush()
-	})
-	if env.canceled() {
-		return nil, nil, errCanceledRun
-	}
-
 	xk = make([]float64, n)
-	switch {
-	case btb && k%2 == 1:
-		for i := 0; i < n; i++ {
-			xk[i] = st.xy[2*i+1]
-		}
-	case btb:
-		for i := 0; i < n; i++ {
-			xk[i] = st.xy[2*i]
-		}
-	case k%2 == 1:
-		copy(xk, st.b)
-	default:
-		copy(xk, st.a)
-	}
+	st.unpack([][]float64{xk}, k%2 == 1)
 	return xk, combo, nil
 }
 
-// Range variants of the four sweep kernels. The full-matrix serial
-// kernels in fbmpk.go keep their own straight-line loops (they are the
-// single-thread fast path benchmarked in Fig 10); these add [lo, hi)
-// bounds for color-parallel execution.
-
-func fbForwardBtBRange(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
-	d := tri.D
-	if last {
-		for i := lo; i < hi; i++ {
-			sum0 := tmp[i] + d[i]*xy[2*i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xy[2*ci[j]]
-			}
-			xy[2*i+1] = sum0
-		}
-		return
+// runMulti is RunMulti with an externally supplied state and run
+// environment (see runVec).
+func (f *FBParallel) runMulti(tri *sparse.Triangular, st *fbState, env *runEnv, xs [][]float64, k int, btb bool, coeffs []float64) (xks, combos [][]float64, err error) {
+	n, m, err := checkMulti(tri.N, xs, k, coeffs)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i := lo; i < hi; i++ {
-		sum0 := tmp[i] + d[i]*xy[2*i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := 2 * ci[j]
-			sum0 += v[j] * xy[c]
-			sum1 += v[j] * xy[c+1]
-		}
-		xy[2*i+1] = sum0
-		tmp[i] = sum1 + d[i]*sum0
+	if st == nil {
+		st = newFBState(n, m, btb)
 	}
+	var x0 []float64
+	if m == 1 {
+		x0, xs = xs[0], nil
+	}
+	cmb, err := f.run(tri, st, env, x0, xs, k, coeffs, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	xks = make([][]float64, m)
+	for j := range xks {
+		xks[j] = make([]float64, n)
+	}
+	st.unpack(xks, k%2 == 1)
+	if cmb != nil {
+		combos = sparse.UnpackVectors(cmb, n, m)
+	}
+	return xks, combos, nil
 }
 
-func fbBackwardBtBRange(tri *sparse.Triangular, xy, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if last {
-		for i := hi - 1; i >= lo; i-- {
-			sum0 := tmp[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xy[2*ci[j]+1]
-			}
-			xy[2*i] = sum0
-		}
-		return
+// run is the one forward-backward driver. The start vectors are xs —
+// m of them, packed into the state's start block by the workers — or,
+// when xs is nil, the single vector x0. st must be sized for n rows
+// and m vectors (see fbState.fit); the powers stay in it on return and
+// the combination block (n*m row-major, nil without coeffs) is
+// returned. onIterate (single vector only) observes each power.
+//
+// Cancellation protocol: each worker polls env's flag after every
+// step; a worker that observes it switches to skip mode — it stops
+// computing but keeps crossing every barrier of the schedule, so
+// workers that read the flag at different boundaries can never
+// deadlock each other, and the pool is immediately reusable
+// afterwards. If the flag was set the run returns errCanceledRun and
+// the state is unspecified.
+func (f *FBParallel) run(tri *sparse.Triangular, st *fbState, env *runEnv, x0 []float64, xs [][]float64, k int, coeffs []float64, onIterate IterateFunc) ([]float64, error) {
+	n := tri.N
+	r := fbRun{f: f, tri: tri, st: st, env: env, x0: x0, m: 1, k: k, coeffs: coeffs, onIterate: onIterate}
+	if xs != nil {
+		r.xs, r.m, r.x0 = xs, len(xs), st.x0b
 	}
-	for i := hi - 1; i >= lo; i-- {
-		sum0 := tmp[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := 2 * ci[j]
-			sum0 += v[j] * xy[c+1]
-			sum1 += v[j] * xy[c]
-		}
-		xy[2*i] = sum0
-		tmp[i] = sum1
+	if coeffs != nil {
+		r.cmb = make([]float64, n*r.m)
 	}
+	if onIterate != nil {
+		r.scratch = make([]float64, n)
+	}
+	if n == 0 {
+		return r.cmb, nil
+	}
+	if f.pool == nil {
+		r.worker(0)
+	} else {
+		// The pool's job escapes to the heap; building it from a copy
+		// keeps the one-worker run free of that allocation.
+		shared := r
+		f.pool.Run(shared.worker)
+	}
+	if env.canceled() {
+		return nil, errCanceledRun
+	}
+	return r.cmb, nil
 }
 
-func fbForwardSepRange(tri *sparse.Triangular, xprev, xnext, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.L.RowPtr, tri.L.ColIdx, tri.L.Val
-	d := tri.D
-	if last {
-		for i := lo; i < hi; i++ {
-			sum0 := tmp[i] + d[i]*xprev[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xprev[ci[j]]
-			}
-			xnext[i] = sum0
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		sum0 := tmp[i] + d[i]*xprev[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := ci[j]
-			sum0 += v[j] * xprev[c]
-			sum1 += v[j] * xnext[c]
-		}
-		xnext[i] = sum0
-		tmp[i] = sum1 + d[i]*sum0
-	}
+// fbRun is one execution of the pipeline: what its workers share.
+type fbRun struct {
+	f         *FBParallel
+	tri       *sparse.Triangular
+	st        *fbState
+	env       *runEnv
+	x0        []float64   // packed start block (n*m)
+	xs        [][]float64 // vectors packed into x0, nil for one vector
+	m, k      int
+	coeffs    []float64
+	cmb       []float64 // combination block, nil without coeffs
+	onIterate IterateFunc
+	scratch   []float64 // iterate copy handed to onIterate
 }
 
-func fbBackwardSepRange(tri *sparse.Triangular, xnext, xprev, tmp []float64, lo, hi int, last bool) {
-	rp, ci, v := tri.U.RowPtr, tri.U.ColIdx, tri.U.Val
-	if last {
-		for i := hi - 1; i >= lo; i-- {
-			sum0 := tmp[i]
-			for j := rp[i]; j < rp[i+1]; j++ {
-				sum0 += v[j] * xprev[ci[j]]
-			}
-			xnext[i] = sum0
-		}
-		return
+// worker runs worker id's share of the schedule.
+func (r *fbRun) worker(id int) {
+	f, st, m := r.f, r.st, r.m
+	clock := r.env.clock(f.pool, id)
+	skip := false // cancellation observed: cross barriers, do no work
+	dLo, dHi := f.dense[id], f.dense[id+1]
+	// Init: pack the start block, seed the even slots and the combo.
+	if r.xs != nil {
+		packBlock(r.xs, r.x0, m, dLo, dHi)
 	}
-	for i := hi - 1; i >= lo; i-- {
-		sum0 := tmp[i]
-		sum1 := 0.0
-		for j := rp[i]; j < rp[i+1]; j++ {
-			c := ci[j]
-			sum0 += v[j] * xprev[c]
-			sum1 += v[j] * xnext[c]
+	st.init(r.x0, m, dLo, dHi)
+	if r.cmb != nil {
+		c0 := r.coeffs[0]
+		for i := dLo * m; i < dHi*m; i++ {
+			r.cmb[i] = c0 * r.x0[i]
 		}
-		xnext[i] = sum0
-		tmp[i] = sum1
+	}
+	crossStep(clock, f.bar, phaseHead, -1)
+	// Head: tmp = U * x0.
+	sparse.SpMMRange(r.tri.U, r.x0, st.tmp, m, f.head[id], f.head[id+1])
+	crossStep(clock, f.bar, phaseHead, -1)
+	skip = r.env.canceled()
+
+	nsteps := len(f.steps)
+	for t := 1; t <= r.k; t++ {
+		// Odd powers come from forward sweeps over the colors in
+		// ascending order, even powers from backward sweeps.
+		forward := t%2 == 1
+		ph := phaseBackward
+		if forward {
+			ph = phaseForward
+		}
+		clock.beginSweep(ph)
+		for s := 0; s < nsteps; s++ {
+			c := s
+			if !forward {
+				c = nsteps - 1 - s
+			}
+			if !skip {
+				st.sweep(r.tri, forward, m, f.steps[c][id], f.steps[c][id+1], t == r.k)
+			}
+			crossStep(clock, f.bar, ph, int32(c))
+			if !skip && r.env.canceled() {
+				skip = true
+			}
+		}
+		clock.endSweep(ph, int32(t))
+		if skip {
+			continue
+		}
+		if r.cmb != nil && r.coeffs[t] != 0 {
+			st.accumulate(r.cmb, r.coeffs[t], m, forward, dLo, dHi)
+		}
+		// The sweep that follows never writes the slots being read
+		// (forward writes odd, backward writes even), and the other
+		// workers cannot start a second sweep before worker 0 joins
+		// their next barrier, so no extra synchronization is needed.
+		if r.onIterate != nil && id == 0 {
+			st.unpack([][]float64{r.scratch}, forward)
+			r.onIterate(t, r.scratch)
+		}
+	}
+	clock.flush()
+}
+
+// crossStep ends one step of a worker's schedule: it closes the
+// compute span and, when bar is non-nil, waits at the barrier and
+// records the wait. One-worker schedules pass a nil barrier.
+func crossStep(clock *phaseClock, bar *parallel.Barrier, ph phase, step int32) {
+	clock.endCompute(ph, step)
+	if bar != nil {
+		bar.Wait()
+		clock.endWait(ph, step)
 	}
 }

@@ -163,8 +163,7 @@ type Plan struct {
 	perm reorder.Perm        // execution-order permutation (ABMC or level), nil = identity
 	lvl  *levelSchedule      // non-nil for the level-blocked engine
 	pool *parallel.Pool      // non-nil when Threads > 1
-	fb   *FBParallel         // non-nil for parallel FB
-	fbm  *FBParallelMulti    // batched executor over fb
+	fb   *FBParallel         // non-nil for the FB engine
 	sym  *SymGSParallel      // parallel smoother (pool + ABMC plans)
 
 	// state is the current value epoch. Readers load it once per
@@ -434,24 +433,21 @@ func NewPlan(a *sparse.CSR, opts ...Option) (*Plan, error) {
 		p.stats.Tune.Samples += engDec.Samples
 		p.stats.TuneTime += engElapsed
 	}
-	if p.pool != nil {
-		if eng == EngineForwardBackward {
-			fb, err := NewFBParallel(tri, p.ord, p.pool)
-			if err != nil {
-				return fail(err)
-			}
-			p.fb = fb
-			p.fbm = NewFBParallelMulti(fb)
+	if eng == EngineForwardBackward {
+		fb, err := NewFBParallel(tri, p.ord, p.pool)
+		if err != nil {
+			return fail(err)
 		}
-		if tri != nil && p.ord != nil {
-			// Build the parallel smoother eagerly: a lazily built one
-			// would be mutable state racing under concurrent SymGS calls.
-			sym, err := NewSymGSParallel(tri, p.ord, p.pool)
-			if err != nil {
-				return fail(err)
-			}
-			p.sym = sym
+		p.fb = fb
+	}
+	if p.pool != nil && tri != nil && p.ord != nil {
+		// Build the parallel smoother eagerly: a lazily built one would be
+		// mutable state racing under concurrent SymGS calls.
+		sym, err := NewSymGSParallel(tri, p.ord, p.pool)
+		if err != nil {
+			return fail(err)
 		}
+		p.sym = sym
 	}
 	p.state.Store(&planEpoch{a: ea, be: be, tri: tri})
 	capacity := opt.MaxInFlight
@@ -737,16 +733,43 @@ func (p *Plan) runLevelBlocked(ws *workspace, env *runEnv, ep *planEpoch, in []f
 	}
 	xs := ws.lvl(p.n, k)
 	copy(xs[0], in)
-	var err error
-	if p.pool != nil {
-		err = levelBlockedMPKParallel(env, ep.a, p.lvl, xs, k, p.pool, hook)
-	} else {
-		err = levelBlockedMPK(env, ep.a, p.lvl, xs, k, hook)
-	}
-	if err != nil {
+	if err := levelBlockedMPK(env, ep.a, p.lvl, xs, k, p.pool, hook); err != nil {
 		return nil, err
 	}
 	return xs[k], nil
+}
+
+// powers runs k powers of the execution-order vector in through the
+// plan's engine, hook observing every iterate, and returns A^k in (it
+// may alias workspace scratch — callers unpermute or copy before it
+// escapes).
+func (p *Plan) powers(ws *workspace, env *runEnv, ep *planEpoch, in []float64, k int, hook IterateFunc) ([]float64, error) {
+	switch p.eng {
+	case EngineLevelBlocked:
+		return p.runLevelBlocked(ws, env, ep, in, k, hook)
+	case EngineStandard:
+		if p.pool != nil {
+			return standardMPKParallel(env, ep.be, in, k, p.pool, hook)
+		}
+		return standardMPK(env, ep.be, in, k, hook)
+	default:
+		xk, _, err := p.fb.runVec(ep.tri, ws.fb(p.n, 1, p.opt.BtB), env, in, k, p.opt.BtB, nil, hook)
+		return xk, err
+	}
+}
+
+// comboHook returns the SSpMV accumulator seeded with coeffs[0] * x0
+// and the iterate hook that adds each later power's term to it.
+func comboHook(coeffs, x0 []float64) ([]float64, IterateFunc) {
+	combo := make([]float64, len(x0))
+	for i := range combo {
+		combo[i] = coeffs[0] * x0[i]
+	}
+	return combo, func(power int, x []float64) {
+		if c := coeffs[power]; c != 0 {
+			sparse.AXPY(c, x, combo)
+		}
+	}
 }
 
 // MPK computes A^k x0 and returns it in the ORIGINAL row ordering,
@@ -851,68 +874,10 @@ func (p *Plan) MPKAllCtx(ctx context.Context, x0 []float64, k int) ([][]float64,
 			p.perm.ApplyVec(x0, px)
 			in = px
 		}
-		var err error
-		switch {
-		case p.eng == EngineLevelBlocked:
-			_, err = p.runLevelBlocked(ws, env, ep, in, k, hook)
-		case p.eng == EngineStandard && p.pool != nil:
-			_, err = standardMPKParallel(env, ep.be, in, k, p.pool, hook)
-		case p.eng == EngineStandard:
-			_, err = standardMPK(env, ep.be, in, k, hook)
-		case p.fb != nil:
-			_, _, err = p.fb.runCapture(ep.tri, ws.fb(p.n, p.opt.BtB), env, in, k, p.opt.BtB, nil, hook)
-		default:
-			_, _, err = fbmpkSerial(ws.fb(p.n, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, nil, hook)
-		}
-		if err != nil {
+		if _, err := p.powers(ws, env, ep, in, k, hook); err != nil {
 			return work{}, err
 		}
 		return p.workPowers(k, 1), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MPKBatch computes A^k applied to a block of vectors via the SpMM
-// kernel (one matrix pass per power serves the whole block). The block
-// path always uses the standard pipeline — the blocked matrix reuse
-// across vectors already amortizes the traffic the FB pipeline would
-// save across powers. Results come back in the original ordering.
-func (p *Plan) MPKBatch(xs [][]float64, k int) ([][]float64, error) {
-	return p.MPKBatchCtx(context.Background(), xs, k)
-}
-
-// MPKBatchCtx is MPKBatch honoring ctx.
-func (p *Plan) MPKBatchCtx(ctx context.Context, xs [][]float64, k int) ([][]float64, error) {
-	var out [][]float64
-	err := p.exec(ctx, opMPKBatch, func(ws *workspace, env *runEnv, ep *planEpoch) (work, error) {
-		in := xs
-		if p.perm != nil {
-			in = make([][]float64, len(xs))
-			for c, x := range xs {
-				if len(x) != p.n {
-					return work{}, fmt.Errorf("core: vector %d length %d != n %d: %w", c, len(x), p.n, ErrDimension)
-				}
-				px := make([]float64, p.n)
-				p.perm.ApplyVec(x, px)
-				in[c] = px
-			}
-		}
-		var err error
-		out, err = standardMPKBatch(env, ep.be, in, k)
-		if err != nil {
-			return work{}, err
-		}
-		if p.perm != nil {
-			for c := range out {
-				v := make([]float64, p.n)
-				p.perm.UnapplyVec(out[c], v)
-				out[c] = v
-			}
-		}
-		return work{sweeps: uint64(k), spmvs: uint64(k) * uint64(len(xs)), nnz: uint64(k) * p.nnzA}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -926,8 +891,9 @@ func (p *Plan) MPKBatchCtx(ctx context.Context, xs [][]float64, k int) ([][]floa
 // engine: every sweep of L/U advances all m vectors, so each matrix
 // read serves 2*m SpMV applications (asymptotically 1/(2m) reads of A
 // per SpMV, versus 1 for plain MPK and 1/2 for single-vector FBMPK).
-// Standard-engine plans fall back to the SpMM block path, which
-// amortizes across vectors but not across powers.
+// Standard-engine plans run the SpMM block path on the plan's backend
+// (one matrix pass per power serves the whole block), which amortizes
+// across vectors but not across powers.
 func (p *Plan) MPKMulti(xs [][]float64, k int) ([][]float64, error) {
 	return p.MPKMultiCtx(context.Background(), xs, k)
 }
@@ -1021,16 +987,7 @@ func (p *Plan) runMulti(ws *workspace, env *runEnv, ep *planEpoch, xs [][]float6
 		for j, x := range in {
 			var hook IterateFunc
 			if coeffs != nil {
-				combo := make([]float64, p.n)
-				for i := range combo {
-					combo[i] = coeffs[0] * x[i]
-				}
-				hook = func(power int, xv []float64) {
-					if c := coeffs[power]; c != 0 {
-						sparse.AXPY(c, xv, combo)
-					}
-				}
-				combos[j] = combo
+				combos[j], hook = comboHook(coeffs, x)
 			}
 			var xk []float64
 			xk, err = p.runLevelBlocked(ws, env, ep, x, k, hook)
@@ -1055,10 +1012,8 @@ func (p *Plan) runMulti(ws *workspace, env *runEnv, ep *planEpoch, xs [][]float6
 				}
 			}
 		}
-	case p.fbm != nil:
-		xks, combos, err = p.fbm.run(ep.tri, ws.fbMulti(p.n, m, p.opt.BtB), env, in, k, p.opt.BtB, coeffs)
 	default:
-		xks, combos, err = fbmpkSerialMulti(ws.fbMulti(p.n, m, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, coeffs)
+		xks, combos, err = p.fb.runMulti(ep.tri, ws.fb(p.n, m, p.opt.BtB), env, in, k, p.opt.BtB, coeffs)
 	}
 	if err != nil {
 		return nil, nil, work{}, err
@@ -1162,20 +1117,7 @@ func (p *Plan) SSpMVComplexCtx(ctx context.Context, coeffs []complex128, x0 []fl
 			p.perm.ApplyVec(im, pim)
 			re, im = pre, pim
 		}
-		var err error
-		switch {
-		case p.eng == EngineLevelBlocked:
-			_, err = p.runLevelBlocked(ws, env, ep, in, k, hook)
-		case p.eng == EngineStandard && p.pool != nil:
-			_, err = standardMPKParallel(env, ep.be, in, k, p.pool, hook)
-		case p.eng == EngineStandard:
-			_, err = standardMPK(env, ep.be, in, k, hook)
-		case p.fb != nil:
-			_, _, err = p.fb.runCapture(ep.tri, ws.fb(p.n, p.opt.BtB), env, in, k, p.opt.BtB, nil, hook)
-		default:
-			_, _, err = fbmpkSerial(ws.fb(p.n, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, nil, hook)
-		}
-		if err != nil {
+		if _, err := p.powers(ws, env, ep, in, k, hook); err != nil {
 			return work{}, err
 		}
 		if p.perm != nil {
@@ -1207,48 +1149,16 @@ func (p *Plan) run(ws *workspace, env *runEnv, ep *planEpoch, x0 []float64, k in
 	}
 
 	wk = p.workPowers(k, 1)
-	switch {
-	case p.eng == EngineLevelBlocked:
+	if p.eng == EngineForwardBackward {
+		// The FB driver accumulates the combination in its row-parallel
+		// vector phase rather than through a hook on one worker.
+		xk, combo, err = p.fb.runVec(ep.tri, ws.fb(p.n, 1, p.opt.BtB), env, in, k, p.opt.BtB, coeffs, nil)
+	} else {
 		var hook IterateFunc
 		if coeffs != nil {
-			combo = make([]float64, p.n)
-			for i := range combo {
-				combo[i] = coeffs[0] * in[i]
-			}
-			hook = func(power int, x []float64) {
-				if c := coeffs[power]; c != 0 {
-					sparse.AXPY(c, x, combo)
-				}
-			}
+			combo, hook = comboHook(coeffs, in)
 		}
-		xk, err = p.runLevelBlocked(ws, env, ep, in, k, hook)
-	case p.eng == EngineStandard && p.pool != nil:
-		xk, err = standardMPKParallel(env, ep.be, in, k, p.pool, nil)
-		if err == nil && coeffs != nil {
-			// The parallel standard engine retains no iterates, so the
-			// combo re-runs the power sweep: double the matrix traffic.
-			wk.sweeps += uint64(k)
-			wk.nnz += uint64(k) * p.nnzA
-			combo, err = p.standardCombo(env, ep, in, coeffs)
-		}
-	case p.eng == EngineStandard:
-		var hook IterateFunc
-		if coeffs != nil {
-			combo = make([]float64, p.n)
-			for i := range combo {
-				combo[i] = coeffs[0] * in[i]
-			}
-			hook = func(power int, x []float64) {
-				if c := coeffs[power]; c != 0 {
-					sparse.AXPY(c, x, combo)
-				}
-			}
-		}
-		xk, err = standardMPK(env, ep.be, in, k, hook)
-	case p.fb != nil:
-		xk, combo, err = p.fb.runCapture(ep.tri, ws.fb(p.n, p.opt.BtB), env, in, k, p.opt.BtB, coeffs, nil)
-	default:
-		xk, combo, err = fbmpkSerial(ws.fb(p.n, p.opt.BtB), env, ep.tri, in, k, p.opt.BtB, coeffs, nil)
+		xk, err = p.powers(ws, env, ep, in, k, hook)
 	}
 	if err != nil {
 		return nil, nil, work{}, err
@@ -1264,22 +1174,4 @@ func (p *Plan) run(ws *workspace, env *runEnv, ep *planEpoch, x0 []float64, k in
 		}
 	}
 	return xk, combo, wk, nil
-}
-
-// standardCombo evaluates the SSpMV combination with the parallel
-// standard engine by re-running the power sweep with a capture hook.
-func (p *Plan) standardCombo(env *runEnv, ep *planEpoch, in []float64, coeffs []float64) ([]float64, error) {
-	combo := make([]float64, p.n)
-	for i := range combo {
-		combo[i] = coeffs[0] * in[i]
-	}
-	_, err := standardMPKParallel(env, ep.be, in, len(coeffs)-1, p.pool, func(power int, x []float64) {
-		if c := coeffs[power]; c != 0 {
-			sparse.AXPY(c, x, combo)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return combo, nil
 }

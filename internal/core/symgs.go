@@ -139,7 +139,7 @@ func (g *SymGSParallel) Apply(b, x []float64, sweeps int) error {
 // apply is Apply with a run environment, executing on tri — any split
 // sharing the structure g was scheduled for (the plan passes its
 // pinned epoch's split); the cancellation protocol is the skip-mode
-// scheme of FBParallel.runCapture (workers keep crossing every barrier
+// scheme of FBParallel.run (workers keep crossing every barrier
 // of the schedule once they observe the flag, they just stop
 // computing).
 func (g *SymGSParallel) apply(env *runEnv, tri *sparse.Triangular, b, x []float64, sweeps int) error {
@@ -162,9 +162,7 @@ func (g *SymGSParallel) apply(env *runEnv, tri *sparse.Triangular, b, x []float6
 					lo, hi := int(g.ord.BlockPtr[bb[id]]), int(g.ord.BlockPtr[bb[id+1]])
 					symGSForwardRange(tri, b, x, lo, hi)
 				}
-				clock.endCompute(phaseSymGS, int32(c))
-				g.bar.Wait()
-				clock.endWait(phaseSymGS, int32(c))
+				crossStep(clock, g.bar, phaseSymGS, int32(c))
 				if !skip && env.canceled() {
 					skip = true
 				}
@@ -177,9 +175,7 @@ func (g *SymGSParallel) apply(env *runEnv, tri *sparse.Triangular, b, x []float6
 					lo, hi := int(g.ord.BlockPtr[bb[id]]), int(g.ord.BlockPtr[bb[id+1]])
 					symGSBackwardRange(tri, b, x, lo, hi)
 				}
-				clock.endCompute(phaseSymGS, int32(c))
-				g.bar.Wait()
-				clock.endWait(phaseSymGS, int32(c))
+				crossStep(clock, g.bar, phaseSymGS, int32(c))
 				if !skip && env.canceled() {
 					skip = true
 				}

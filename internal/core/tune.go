@@ -490,48 +490,41 @@ func AutotuneEngine(a *sparse.CSR, k, blockBytes, threads int) (*EngineDecision,
 	}
 	ls.perm.ApplyVec(x, xs[0])
 	x0p := sparse.CopyVec(xs[0])
+	// FB runs on the split of the natural-order matrix serially, or of
+	// its default ABMC ordering on the pool.
+	var pool *parallel.Pool
+	var runner sparse.Runner
+	var ord *reorder.ABMCResult
+	fa, xf := a, x
 	if threads > 0 {
-		pool := parallel.NewPoolNamed(threads, "tune")
+		pool = parallel.NewPoolNamed(threads, "tune")
 		defer pool.Close()
-		ord, err := reorder.ABMC(a, reorder.ABMCOptions{Pool: pool})
-		if err != nil {
+		runner = pool
+		if ord, err = reorder.ABMC(a, reorder.ABMCOptions{Pool: pool}); err != nil {
 			return nil, err
 		}
-		fa, err := ord.Perm.ApplySymPool(a, pool)
-		if err != nil {
+		if fa, err = ord.Perm.ApplySymPool(a, pool); err != nil {
 			return nil, err
 		}
-		ftri, err := sparse.SplitPool(fa, pool)
-		if err != nil {
-			return nil, err
-		}
-		fb, err := NewFBParallel(ftri, ord, pool)
-		if err != nil {
-			return nil, err
-		}
-		xf := make([]float64, a.Rows)
+		xf = make([]float64, a.Rows)
 		ord.Perm.ApplyVec(x, xf)
-		dec.FBSampleNs = measureEngine(func() {
-			_, _, _ = fb.Run(xf, k, true, nil)
-		})
-		dec.LBSampleNs = measureEngine(func() {
-			copy(xs[0], x0p)
-			_ = levelBlockedMPKParallel(nil, pa, ls, xs, k, pool, nil)
-		})
-	} else {
-		tri, err := sparse.SplitPool(a, nil)
-		if err != nil {
-			return nil, err
-		}
-		ws := &workspace{}
-		dec.FBSampleNs = measureEngine(func() {
-			_, _, _ = fbmpkSerial(ws.fb(a.Rows, true), nil, tri, x, k, true, nil, nil)
-		})
-		dec.LBSampleNs = measureEngine(func() {
-			copy(xs[0], x0p)
-			_ = levelBlockedMPK(nil, pa, ls, xs, k, nil)
-		})
 	}
+	ftri, err := sparse.SplitPool(fa, runner)
+	if err != nil {
+		return nil, err
+	}
+	fb, err := NewFBParallel(ftri, ord, pool)
+	if err != nil {
+		return nil, err
+	}
+	st := newFBState(a.Rows, 1, true)
+	dec.FBSampleNs = measureEngine(func() {
+		_, _, _ = fb.runVec(ftri, st, nil, xf, k, true, nil, nil)
+	})
+	dec.LBSampleNs = measureEngine(func() {
+		copy(xs[0], x0p)
+		_ = levelBlockedMPK(nil, pa, ls, xs, k, pool, nil)
+	})
 	dec.Samples = 2 * (engineTuneReps + 1)
 	if float64(dec.LBSampleNs) < engineTuneMargin*float64(dec.FBSampleNs) {
 		dec.Engine = EngineLevelBlocked

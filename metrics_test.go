@@ -128,6 +128,49 @@ func TestPlanMetricsSymGSAndTime(t *testing.T) {
 	}
 }
 
+// TestPlanMetricsStandardParallelSSpMV pins the single pass of the
+// parallel standard engine's SSpMV: the combination is accumulated by
+// the power sweep's iterate hook, so a degree-4 polynomial costs 4
+// sweeps and 4 reads of A, and matches the serial engine bitwise.
+func TestPlanMetricsStandardParallelSSpMV(t *testing.T) {
+	a, err := GenerateSuiteMatrix("cant", 0.004, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := randVec(rand.New(rand.NewSource(4)), a.Rows)
+	coeffs := []float64{1, 0.5, -0.25, 0.125, 2}
+	serial, err := NewPlan(a, WithEngine(EngineStandard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close()
+	want, err := serial.SSpMV(coeffs, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlan(a, WithEngine(EngineStandard), WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	got, err := p.SSpMV(coeffs, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("parallel SSpMV differs at %d: %v != %v", i, got[i], want[i])
+		}
+	}
+	m := p.Metrics()
+	if m.Sweeps != 4 {
+		t.Errorf("Sweeps = %d, want 4", m.Sweeps)
+	}
+	if math.Abs(m.ReadsOfA-4) > 1e-12 {
+		t.Errorf("ReadsOfA = %.6f, want 4", m.ReadsOfA)
+	}
+}
+
 // TestPlanMetricsString checks the expvar contract: String returns the
 // JSON encoding of the snapshot.
 func TestPlanMetricsString(t *testing.T) {

@@ -37,8 +37,6 @@ func registryEntryPoints() []entryPoint {
 		{"MPKCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.MPKCtx(ctx, x, k)) }},
 		{"MPKAll", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKAll(x, k) }},
 		{"MPKAllCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKAllCtx(ctx, x, k) }},
-		{"MPKBatch", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKBatch(multi(x), k) }},
-		{"MPKBatchCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKBatchCtx(ctx, multi(x), k) }},
 		{"MPKMulti", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKMulti(multi(x), k) }},
 		{"MPKMultiCtx", false, func(p *Plan, x []float64) ([][]float64, error) { return p.MPKMultiCtx(ctx, multi(x), k) }},
 		{"SSpMV", false, func(p *Plan, x []float64) ([][]float64, error) { return one(p.SSpMV(coeffs, x)) }},
